@@ -59,7 +59,7 @@ from repro.core.alarms import Alarm
 from repro.core.executor import ModelTransport
 from repro.core.monitor import (ActiveMonitor, MonitorSnapshot,
                                 TransferObservation)
-from repro.core.query import QueryEngine, QueryResult
+from repro.core.query import BUILTIN_QUERIES, QueryEngine, QueryResult
 from repro.core.rpc import RpcChannel
 from repro.core.tib import Tib
 from repro.storage.records import PathFlowRecord
@@ -70,7 +70,7 @@ from repro.storage.records import PathFlowRecord
 #: alarms travel back over the wire.  Only *custom* handlers registered on
 #: individual in-process agents fall back local (the worker cannot know
 #: them).
-SERVED_QUERIES = frozenset(QueryEngine()._handlers)
+SERVED_QUERIES = BUILTIN_QUERIES
 
 
 class AgentServerError(RuntimeError):

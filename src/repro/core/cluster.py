@@ -251,6 +251,18 @@ class _AlarmCollector:
             cluster.alarm_bus.raise_alarm(alarm)
 
 
+def _response_bytes(result: QueryResult) -> int:
+    """Size of a gathered result on its way up the plan.
+
+    A host's reply already carries its size (measured where it was
+    produced, or the frame that crossed the pipe); a merge accumulator is
+    unsized until its node sends it, and the sizer measures it then, once.
+    """
+    if not result.wire_bytes:
+        result.wire_bytes = measured_result_wire_bytes(result)
+    return result.wire_bytes
+
+
 class QueryCluster:
     """All PathDump agents of a deployment plus the distributed query logic.
 
@@ -1023,13 +1035,8 @@ class QueryCluster:
             return self.engine.merge(query, (acc, value),
                                      measure_wire=False)
 
-        def response_bytes(result: QueryResult) -> int:
-            if not result.wire_bytes:  # an unmeasured merge accumulator
-                result.wire_bytes = measured_result_wire_bytes(result)
-            return result.wire_bytes
-
         gather = self.executor.run(plan, work, merge,
-                                   response_bytes=response_bytes)
+                                   response_bytes=_response_bytes)
         sink.dispatch(targets)
         gather.hosts_failed = [
             host for label in gather.hosts_failed
@@ -1164,19 +1171,13 @@ class QueryCluster:
                 return agent.execute_query(query)
 
         def merge(acc: QueryResult, value: QueryResult) -> QueryResult:
-            # Intermediate pairwise merges are not sized (that would
-            # re-encode a growing payload per merge - quadratic); only a
-            # node's final accumulator is measured, in response_bytes.
+            # The pairwise fold: unsized, in place into the accumulator
+            # the fold owns (see QueryEngine.merge).
             return self.engine.merge(query, (acc, value),
                                      measure_wire=False)
 
-        def response_bytes(result: QueryResult) -> int:
-            if not result.wire_bytes:  # an unmeasured merge accumulator
-                result.wire_bytes = measured_result_wire_bytes(result)
-            return result.wire_bytes
-
         gather = self.executor.run(plan, work, merge,
-                                   response_bytes=response_bytes)
+                                   response_bytes=_response_bytes)
         if alarm_sink is not None:
             alarm_sink.dispatch(self._plan_hosts(plan))
         return gather
@@ -1196,7 +1197,8 @@ class QueryCluster:
             merged = gather.value
         if not merged.wire_bytes:
             # The root accumulator never travels, so the streaming merge
-            # left it unsized; measure it here for API consumers.
+            # left it unsized; the sizer measures it here for API
+            # consumers.
             merged.wire_bytes = measured_result_wire_bytes(merged)
         merged.partial = gather.partial
         merged.warnings = tuple(gather.warnings)

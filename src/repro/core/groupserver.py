@@ -380,6 +380,9 @@ class _SocketEndpoint:
             try:
                 data = self._sock.recv(1 << 16)
             except OSError as error:
+                # A reset after a partial frame (the worker closed with our
+                # bytes unread) truncates the stream just like an EOF does.
+                self._reader.eof()  # raises WireDecodeError mid-frame
                 raise _EndpointClosed(
                     f"{type(error).__name__}: {error}") from error
             if not data:

@@ -49,8 +49,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.network.packet import FlowId
 from repro.storage.records import (RECORD_FIELDS, PathFlowRecord, ScanSpec,
@@ -701,10 +701,7 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
         if scalar_shape is not None:
             shape = ("scalar",) + scalar_shape
         elif _keyed_flow_byte_sum(plan):
-            aggregate = plan.aggregate
-            tail_from = plan.ops.index(aggregate) + 1 \
-                if aggregate is not None else 0
-            shape = ("keyed", plan.ops[tail_from:])
+            shape = ("keyed",)
         else:
             filter_op = plan.filter
             shape = ("general", scan_spec(filter_op),
@@ -721,10 +718,16 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
         scanned = 1  # one maintained aggregate row, like getCount
         scan_stats = dict.fromkeys(tib.scan_stat_snapshot(), 0)
     elif shape[0] == "keyed":
-        payload = tib.flow_byte_totals()
+        # Only a TopK can follow the aggregate: rank the maintained
+        # totals directly, without materialising the per-flow dict.
+        topk = plan.topk
+        if topk is None:
+            payload = tib.flow_byte_totals()
+        else:
+            payload = rank_select(
+                tib.flow_byte_pairs(bytes_first=topk.key != RANK_GROUP),
+                topk.k, topk.order)
         scanned = tib.total_record_count()
-        for op in shape[1]:
-            payload = _EXEC_BY_OP[op.code](op, payload, plan)
         scan_stats = dict.fromkeys(tib.scan_stat_snapshot(), 0)
     else:
         before = tib.scan_stat_snapshot()
@@ -753,32 +756,83 @@ def estimate_payload_bytes(payload: Any) -> int:
 # --------------------------------------------------------------------------
 # Merge operators (the aggregation-tree reduction, selected by terminal op)
 # --------------------------------------------------------------------------
-def _merge_concat(plan: Plan, payloads: Sequence[Any]) -> Any:
-    """Concatenate listing rows / scalar tuples (the legacy un-merged
-    reduction: per-host scalar tuples flatten into one list, exactly as
-    ``getCount`` partials always have)."""
-    merged: List[Any] = []
-    for payload in payloads:
+# Every fold takes ``owned``: when set, ``payloads[0]`` is an accumulator
+# the caller's streaming fold owns, and the other payloads fold into it in
+# place - time proportional to what they hold, not to what the accumulator
+# has grown to.  Otherwise a fresh payload is built and no input (a host's
+# own partial may be a memoized TIB object) is touched.
+def _fold_start(payloads: Sequence[Any], owned: bool,
+                empty: Callable[[], Any]) -> Tuple[Any, Sequence[Any]]:
+    """The accumulator to fold into and the payloads still to fold."""
+    if owned:
+        return payloads[0], payloads[1:]
+    return empty(), payloads
+
+
+def fold_concat(payloads: Sequence[Any], owned: bool = False) -> List[Any]:
+    """Concatenate list-like payloads (a tuple flattens into the list)."""
+    merged, rest = _fold_start(payloads, owned, list)
+    for payload in rest:
         merged.extend(payload)
     return merged
 
 
-def _merge_histograms(plan: Plan, payloads: Sequence[Any]) -> Any:
-    """Sum keyed-aggregate dicts key-wise."""
-    merged: Dict[Any, Any] = {}
-    for payload in payloads:
+def fold_histograms(payloads: Sequence[Any],
+                    owned: bool = False) -> Dict[Any, Any]:
+    """Sum keyed dicts key-wise; keys keep first-seen order."""
+    merged, rest = _fold_start(payloads, owned, dict)
+    get = merged.get
+    for payload in rest:
         for key, value in payload.items():
-            merged[key] = merged.get(key, 0) + value
+            merged[key] = get(key, 0) + value
     return merged
 
 
-def _merge_top_k(plan: Plan, payloads: Sequence[Any]) -> Any:
+def fold_ranked(payloads: Sequence[Any], k: int, order: str = ORDER_DESC,
+                owned: bool = False) -> List[Any]:
+    """The k extreme items across ranked lists, sorted - the selection
+    :func:`rank_select` makes (an owned accumulator is such a selection
+    already).  Partials arrive sorted, so sorting the accumulator plus one
+    partial merges two runs in linear time; a partial with nothing that
+    ranks before a full accumulator's last item is skipped outright."""
+    merged, rest = _fold_start(payloads, owned, list)
+    descending = order != ORDER_ASC
+    k = max(k, 0)
+    for payload in rest:
+        if not payload:
+            continue
+        if k and len(merged) >= k:
+            cutoff = merged[-1]
+            if (max(payload) <= cutoff if descending
+                    else min(payload) >= cutoff):
+                continue
+        merged.extend(payload)
+        merged.sort(reverse=descending)
+        del merged[k:]
+    return merged
+
+
+def _merge_concat(plan: Plan, payloads: Sequence[Any],
+                  owned: bool = False) -> Any:
+    """Concatenate listing rows / scalar tuples (the legacy un-merged
+    reduction: per-host scalar tuples flatten into one list, exactly as
+    ``getCount`` partials always have)."""
+    return fold_concat(payloads, owned)
+
+
+def _merge_histograms(plan: Plan, payloads: Sequence[Any],
+                      owned: bool = False) -> Any:
+    """Sum keyed-aggregate dicts key-wise."""
+    return fold_histograms(payloads, owned)
+
+
+def _merge_top_k(plan: Plan, payloads: Sequence[Any],
+                 owned: bool = False) -> Any:
     """Re-select the global extremes across partial top-k lists -
     ``(n - 1) * k`` pairs die at every aggregation level."""
     op = plan.topk
     assert op is not None  # validator: MERGE_TOP_K only with a TopK op
-    return rank_select((pair for payload in payloads for pair in payload),
-                       op.k, op.order)
+    return fold_ranked(payloads, op.k, op.order, owned)
 
 
 #: Merge operator per *terminal* op (R9: every OP_* must be a key here).
@@ -806,9 +860,11 @@ def merge_operator(plan: Plan) -> str:
     return _MERGE_BY_TERMINAL[terminal.code]
 
 
-def merge_payloads(plan: Plan, payloads: Sequence[Any]) -> Any:
-    """Merge partial plan payloads (one aggregation-tree reduction)."""
-    return _MERGE_FUNCTIONS[merge_operator(plan)](plan, payloads)
+def merge_payloads(plan: Plan, payloads: Sequence[Any],
+                   owned: bool = False) -> Any:
+    """Merge partial plan payloads (one aggregation-tree reduction);
+    ``owned`` folds into ``payloads[0]`` in place (see the folds above)."""
+    return _MERGE_FUNCTIONS[merge_operator(plan)](plan, payloads, owned)
 
 
 # --------------------------------------------------------------------------

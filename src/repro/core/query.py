@@ -138,6 +138,10 @@ class QueryResult:
             :mod:`repro.core.wire` frame length - in process mode, the
             frame that actually crossed the pipe); this is what the traffic
             accounting of the query-performance experiments sums.
+            In-process results get it from the fuzz-locked sizer
+            (``wire.result_wire_bytes``), which walks the result without
+            encoding it; a streaming-merge accumulator stays 0 until its
+            node sends it.
         records_scanned: number of TIB records touched while producing the
             payload (the compute-cost proxy).
         estimated_wire_bytes: the handler's pre-codec size estimate, kept
@@ -160,6 +164,11 @@ class QueryResult:
             pruning work, see ``Tib.scan_stat_snapshot``), populated only
             by plan queries; rides the ``MSG_PLAN_RESULT`` frame tail and
             is summed key-wise when partials merge.
+        accumulator: ``True`` for a streaming-merge accumulator - the
+            unsized result of ``QueryEngine.merge(..., measure_wire=False)``,
+            whose payload and counters the gather's fold owns.  Merging
+            it again as the first result folds the others into it in
+            place; no other result is ever mutated by a merge.
     """
 
     query: Query
@@ -172,19 +181,24 @@ class QueryResult:
     warnings: Tuple[Any, ...] = ()
     alarms: Tuple[Any, ...] = ()
     scan_stats: Dict[str, int] = field(default_factory=dict)
+    accumulator: bool = field(default=False, repr=False, compare=False)
 
 
 def measured_result_wire_bytes(result: "QueryResult") -> int:
-    """Measured frame size of a result, estimate-backed for exotic payloads.
+    """Measured frame size of a result, estimate-backed for custom queries.
 
-    Built-in query payloads always encode; a *custom* handler may return a
-    payload outside the codec's tagged-value set, which must not kill the
-    query (custom handlers predate the codec) - its handler-supplied size
-    estimate stands in, exactly as before the codec existed.
+    Built-in query payloads always encode, so a :class:`wire.WireError`
+    for one is a codec regression and propagates rather than being priced
+    with a guess.  A *custom* handler may return a payload outside the
+    codec's tagged-value set, which must not kill the query (custom
+    handlers predate the codec) - its handler-supplied size estimate
+    stands in, exactly as before the codec existed.
     """
     try:
         return wire.result_wire_bytes(result)
     except wire.WireError:
+        if result.query.name in BUILTIN_QUERIES:
+            raise
         return result.estimated_wire_bytes
 
 
@@ -265,25 +279,37 @@ class QueryEngine:
               measure_wire: bool = True) -> QueryResult:
         """Merge partial results into one (aggregation-tree reduction).
 
-        ``measure_wire=False`` skips sizing the merged payload - the
-        streaming gather merges pairwise, and only a node's *final*
-        accumulator ever travels, so intermediate merge results are sized
-        lazily at the point they are actually sent (re-encoding a growing
-        payload after every pairwise merge would be quadratic).
+        ``measure_wire=False`` is the streaming gather's pairwise fold: the
+        merged result is left unsized (only a node's *final* accumulator
+        travels, and the sizer measures it once, where it is sent) and is
+        an :attr:`~QueryResult.accumulator` the fold owns.  When the first
+        result is such an accumulator and the merger is a built-in, the
+        others fold into it in place, so one fold costs time proportional
+        to the incoming partial, not to everything merged so far.  Any
+        other first result - a host's own partial, a decoded reply - is
+        copied once, and no result but an accumulator is ever mutated.
         """
         merger = self._mergers.get(query.name, _merge_concat)
-        payload, estimated = merger(query, [r.payload for r in results])
-        scan_stats: Dict[str, int] = {}
-        for partial in results:
+        payloads = [r.payload for r in results]
+        if results and results[0].accumulator and merger in _FOLDING_MERGERS:
+            result = results[0]
+            rest = results[1:]
+            result.payload, result.estimated_wire_bytes = merger(
+                query, payloads, owned=True)
+        else:
+            payload, estimated = merger(query, payloads)
+            result = QueryResult(query=query, payload=payload, wire_bytes=0,
+                                 estimated_wire_bytes=estimated,
+                                 host="aggregate")
+            rest = results
+        scan_stats = result.scan_stats
+        for partial in rest:
+            result.records_scanned += partial.records_scanned
             for key, value in partial.scan_stats.items():
                 scan_stats[key] = scan_stats.get(key, 0) + value
-        result = QueryResult(
-            query=query, payload=payload, wire_bytes=0,
-            records_scanned=sum(r.records_scanned for r in results),
-            estimated_wire_bytes=estimated, host="aggregate",
-            scan_stats=scan_stats)
-        if measure_wire:
-            result.wire_bytes = measured_result_wire_bytes(result)
+        result.accumulator = not measure_wire
+        result.wire_bytes = (measured_result_wire_bytes(result)
+                             if measure_wire else 0)
         return result
 
     # -------------------------------------------------------------- handlers
@@ -523,43 +549,52 @@ def top_k_select(items: Iterable[Tuple[int, str]], k: int
     return sorted(heap, reverse=True)
 
 
-def _merge_concat(query: Query, payloads: Sequence[Any]) -> Tuple[Any, int]:
+# The built-in mergers take ``owned``: when set, ``payloads[0]`` is an
+# accumulator the streaming fold owns and the rest fold into it in place
+# (see :mod:`repro.core.plan`'s ``fold_*``); otherwise no input is touched.
+def _merge_concat(query: Query, payloads: Sequence[Any],
+                  owned: bool = False) -> Tuple[Any, int]:
     """Concatenate list-like partial results."""
-    merged: List[Any] = []
-    for payload in payloads:
-        merged.extend(payload)
+    merged = planlib.fold_concat(payloads, owned)
     return merged, _KV_BYTES * max(1, len(merged))
 
 
-def _merge_histograms(query: Query, payloads: Sequence[Dict]) -> Tuple[Dict, int]:
+def _merge_histograms(query: Query, payloads: Sequence[Dict],
+                      owned: bool = False) -> Tuple[Dict, int]:
     """Sum histograms / matrices keyed by arbitrary hashable keys."""
-    merged: Dict[Any, int] = {}
-    for payload in payloads:
-        for key, value in payload.items():
-            merged[key] = merged.get(key, 0) + value
+    merged = planlib.fold_histograms(payloads, owned)
     return merged, _KV_BYTES * max(1, len(merged))
 
 
-def _merge_top_k(query: Query, payloads: Sequence[List[Tuple[int, str]]]
-                 ) -> Tuple[List[Tuple[int, str]], int]:
+def _merge_top_k(query: Query, payloads: Sequence[List[Tuple[int, str]]],
+                 owned: bool = False) -> Tuple[List[Tuple[int, str]], int]:
     """Keep only the global top-k across partial top-k lists.
 
     This is the reduction that makes the multi-level top-k query efficient:
     ``(n_i - 1) * k`` key-value pairs are discarded at every aggregation
-    level (Section 5.2).
+    level (Section 5.2).  Same selection as :func:`top_k_select`.
     """
-    k = query.params.get("k", 1000)
-    merged = top_k_select(
-        (item for payload in payloads for item in payload), k)
+    merged = planlib.fold_ranked(payloads, query.params.get("k", 1000),
+                                 planlib.ORDER_DESC, owned)
     return merged, _KV_BYTES * max(1, len(merged))
 
 
-def _merge_plan(query: Query, payloads: Sequence[Any]) -> Tuple[Any, int]:
+def _merge_plan(query: Query, payloads: Sequence[Any],
+                owned: bool = False) -> Tuple[Any, int]:
     """Merge partial plan payloads with the generic operator the plan's
     terminal op selects (concat / histogram-merge / top-k-merge)."""
     plan = query.params["plan"]
-    merged = planlib.merge_payloads(plan, payloads)
+    merged = planlib.merge_payloads(plan, payloads, owned)
     return merged, planlib.estimate_payload_bytes(merged)
+
+
+#: Mergers that can fold into an owned accumulator in place.
+_FOLDING_MERGERS = frozenset({_merge_concat, _merge_histograms,
+                              _merge_top_k, _merge_plan})
+
+#: The built-in query names: their payloads always encode, so their traffic
+#: is never priced with an estimate (see :func:`measured_result_wire_bytes`).
+BUILTIN_QUERIES = frozenset(QueryEngine()._handlers)
 
 
 def _link_label(link: Optional[LinkId]) -> str:

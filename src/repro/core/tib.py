@@ -86,8 +86,8 @@ import threading
 from bisect import bisect_left, bisect_right, insort
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
-                    Union)
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Set, Tuple, Union)
 
 from repro.network.packet import FlowId
 from repro.storage.archive import ColdArchive, RetentionPolicy
@@ -873,6 +873,17 @@ class Tib:
         """
         return {key: totals[0]
                 for key, totals in self._flow_totals.items()}
+
+    def flow_byte_pairs(self, bytes_first: bool = False
+                        ) -> Iterator[Tuple[Any, Any]]:
+        """:meth:`flow_byte_totals` as ``(flow key, bytes)`` pairs - or
+        ``(bytes, flow key)`` with ``bytes_first`` - in the same order,
+        read straight off the maintained aggregates without building the
+        dict (what ranking them needs).  Consume before the TIB changes."""
+        items = self._flow_totals.items()
+        if bytes_first:
+            return ((totals[0], key) for key, totals in items)
+        return ((key, totals[0]) for key, totals in items)
 
     def flow_totals(self, fkey: str) -> Tuple[int, int]:
         """One flow's maintained ``(bytes, pkts)`` totals over both tiers

@@ -320,6 +320,115 @@ def _w_flow_stats(buf: bytearray, stats: TcpFlowStats) -> None:
 
 
 # --------------------------------------------------------------------------
+# Sizers: encoded lengths computed without building the bytes
+# --------------------------------------------------------------------------
+# Each ``_n_*`` mirrors the ``_w_*`` writer of the same name byte for byte
+# (and raises where it raises); the wire tests fuzz-lock the two together.
+def _n_uvarint(value: int) -> int:
+    if value < 0:
+        raise WireError(f"negative value {value} for unsigned varint")
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def _n_varint(value: int) -> int:
+    return _n_uvarint(value << 1 if value >= 0 else ((-value) << 1) - 1)
+
+
+def _n_str(value: str) -> int:
+    length = len(value) if value.isascii() else len(value.encode("utf-8"))
+    return (1 if length < 0x80 else _n_uvarint(length)) + length
+
+
+def _n_flow_id(flow_id: FlowId) -> int:
+    return (_n_str(flow_id.src_ip) + _n_str(flow_id.dst_ip)
+            + _n_varint(flow_id.src_port) + _n_varint(flow_id.dst_port)
+            + _n_varint(flow_id.protocol))
+
+
+def _n_items(items: Iterable[Any]) -> int:
+    """Summed tagged sizes of ``items``, with the payload-dominant kinds
+    (ints, short ASCII strings, short tuples) sized inline."""
+    total = 0
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            if -64 <= item < 64:
+                total += 2
+            else:  # zigzag needs at least two 7-bit groups here
+                zig = item << 1 if item >= 0 else ((-item) << 1) - 1
+                total += 1 + (zig.bit_length() + 6) // 7
+        elif kind is str and len(item) < 0x80 and item.isascii():
+            total += 2 + len(item)
+        elif kind is tuple and len(item) < 0x80:
+            total += 2 + _n_items(item)
+        else:
+            total += _n_value(item)
+    return total
+
+
+def _n_value(value: Any) -> int:
+    kind = type(value)
+    if kind is int:
+        return 2 if -64 <= value < 64 else 1 + _n_varint(value)
+    if kind is str:
+        return 1 + _n_str(value)
+    if kind is tuple or kind is list:
+        return 1 + _n_uvarint(len(value)) + _n_items(value)
+    if kind is dict:
+        return (1 + _n_uvarint(len(value)) + _n_items(value.keys())
+                + _n_items(value.values()))
+    if value is None or kind is bool:
+        return 1
+    if kind is float:
+        return 1 + _DOUBLE.size
+    if kind is FlowId:
+        return 1 + _n_flow_id(value)
+    if kind is set or kind is frozenset:
+        return 1 + _n_uvarint(len(value)) + _n_items(value)
+    if kind is bytes or kind is bytearray:
+        return 1 + _n_uvarint(len(value)) + len(value)
+    # Slow path: the subclasses _w_value accepts, in its order.
+    if isinstance(value, int):
+        return 1 + _n_varint(value)
+    if isinstance(value, float):
+        return 1 + _DOUBLE.size
+    if isinstance(value, FlowId):
+        return 1 + _n_flow_id(value)
+    if isinstance(value, (tuple, list)):
+        return 1 + _n_uvarint(len(value)) + _n_items(value)
+    raise WireError(f"cannot encode value of type {kind.__name__}")
+
+
+def _n_alarm(alarm: Alarm) -> int:
+    total = (_n_flow_id(alarm.flow_id) + _n_str(alarm.reason)
+             + _n_uvarint(len(alarm.paths)) + _n_str(alarm.host)
+             + _DOUBLE.size + _n_str(alarm.detail))
+    for path in alarm.paths:
+        total += _n_uvarint(len(path))
+        for node in path:
+            total += _n_str(node)
+    return total
+
+
+def _n_result(result) -> int:
+    """Length of :func:`encode_result`'s frame for ``result`` - either
+    result kind, the plan frame's sorted scan-stat tail included."""
+    alarms = getattr(result, "alarms", ())
+    total = (HEADER_BYTES + _n_str(result.query.name) + _n_str(result.host)
+             + _n_varint(result.records_scanned)
+             + _n_varint(result.estimated_wire_bytes)
+             + _n_value(result.payload) + _n_uvarint(len(alarms)))
+    for alarm in alarms:
+        total += _n_alarm(alarm)
+    if result.query.name == _plan.PLAN_QUERY_NAME:
+        scan_stats = getattr(result, "scan_stats", None) or {}
+        total += _n_uvarint(len(scan_stats))
+        for key in scan_stats:
+            total += _n_str(key) + _n_varint(scan_stats[key])
+    return total
+
+
+# --------------------------------------------------------------------------
 # Reader
 # --------------------------------------------------------------------------
 class _Reader:
@@ -517,10 +626,9 @@ def decode_value(data: bytes) -> Any:
 
 
 def payload_wire_bytes(payload: Any) -> int:
-    """Measured serialized size of a result payload."""
-    buf = bytearray()
-    _w_value(buf, payload)
-    return len(buf)
+    """Serialized size of a tagged value (``len(encode_value(payload))``),
+    computed by the sizer without encoding."""
+    return _n_value(payload)
 
 
 # ------------------------------------------------------------------ queries
@@ -1038,8 +1146,15 @@ def encode_result(result) -> bytes:
 
 
 def result_wire_bytes(result) -> int:
-    """Measured serialized size of a result frame (defines ``wire_bytes``)."""
-    return len(encode_result(result))
+    """Serialized size of a result frame (defines ``wire_bytes``).
+
+    Exactly ``len(encode_result(result))`` for both result kinds, computed
+    by the sizer without building the frame - the wire tests fuzz-lock
+    the two together - so sizing a partial costs a walk of its payload,
+    not an encode.  Values outside the codec raise :class:`WireError`
+    just as encoding them does.
+    """
+    return _n_result(result)
 
 
 @_guarded
@@ -1188,10 +1303,8 @@ def decode_sleep(data: bytes) -> float:
 
 # -------------------------------------------------------------- event plane
 def alarm_wire_bytes(alarm: Alarm) -> int:
-    """Measured serialized size of one alarm (its batch-body bytes)."""
-    buf = bytearray()
-    _w_alarm(buf, alarm)
-    return len(buf)
+    """Serialized size of one alarm (its batch-body bytes)."""
+    return _n_alarm(alarm)
 
 
 def encode_alarm_batch(alarms: Sequence[Alarm]) -> bytes:

@@ -23,7 +23,7 @@ from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         TRANSPORT_UNIX, shard_hosts, wire)
 from repro.core.alarms import PC_FAIL
 from repro.core.executor import (W_HOST_FAILED, W_WORKER_RESTARTED)
-from repro.core.groupserver import shard_for
+from repro.core.groupserver import _SocketEndpoint, shard_for
 from repro.core.supervisor import ChaosPolicy, RestartPolicy
 from test_event_plane import feed_workload
 from test_process_mode import QUERIES, populate, small_topology
@@ -336,6 +336,22 @@ class TestConnectionChaos:
             assert pool.stats.restarts >= 1
             assert not second.partial
             assert wire.encode_value(second.payload) == want
+
+    def test_reset_after_partial_frame_is_a_torn_frame(self):
+        """A worker that closes with the controller's bytes unread resets
+        the connection; the partial frame it wrote before must still
+        surface as a decode error, not as a clean close."""
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        endpoint = _SocketEndpoint(ours)
+        try:
+            ours.sendall(b"never read")
+            torn = wire.stream_frame(wire.encode_ping())
+            theirs.sendall(torn[:wire.STREAM_PREFIX_BYTES + 2])
+            theirs.close()
+            with pytest.raises(wire.WireDecodeError):
+                endpoint.recv()
+        finally:
+            endpoint.close()
 
     def test_stalled_socket(self):
         """The gray failure: the connection is open but nothing moves.

@@ -10,8 +10,10 @@ estimators.
 
 import math
 import random
+from collections import OrderedDict
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.core import Query, QueryEngine, QueryResult, plan, wire
 from repro.core.aggregation import AggregationTree
@@ -242,6 +244,100 @@ class TestResultFrames:
         result = QueryEngine().execute(AgentStub(), Query("get_flows", {}))
         assert result.wire_bytes == len(wire.encode_result(result))
         assert result.estimated_wire_bytes > 0
+
+
+# --------------------------------------------------------------------------
+# The sizer: frame lengths computed without encoding
+# --------------------------------------------------------------------------
+#: Ints straddling every varint width change the zigzag encoding has.
+_VARINT_EDGES = [0, 1, -1, 63, 64, -64, -65, 127, 128, -128, 8191, 8192,
+                 2 ** 31, 2 ** 63 - 1, 2 ** 63, 2 ** 64, -(2 ** 63), 10 ** 30]
+_ints = st.one_of(st.sampled_from(_VARINT_EDGES), st.integers())
+#: Empty, arbitrary short and long (ASCII and multi-byte, straddling the
+#: 127/128-byte length prefix) strings.
+_texts = st.one_of(st.just(""), st.text(max_size=8),
+                   st.integers(120, 136).map(lambda n: "x" * n),
+                   st.integers(40, 46).map(lambda n: "é中😀" * n))
+_flow_ids = st.builds(FlowId, _texts, _texts, _ints, _ints, _ints)
+_hashable = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, st.floats(), _texts,
+              st.binary(max_size=200), _flow_ids),
+    lambda inner: st.one_of(st.tuples(inner, inner),
+                            st.frozensets(inner, max_size=3)),
+    max_leaves=6)
+_values = st.recursive(
+    st.one_of(_hashable, st.binary(max_size=8).map(bytearray)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_hashable, inner, max_size=4),
+        st.sets(_hashable, max_size=4),
+        st.frozensets(_hashable, max_size=4)),
+    max_leaves=16)
+_alarms = st.builds(
+    Alarm, flow_id=_flow_ids, reason=_texts,
+    paths=st.lists(st.lists(_texts, max_size=4).map(tuple), max_size=3),
+    host=_texts, time=st.floats(), detail=_texts)
+_results = st.builds(
+    lambda name, payload, host, scanned, estimated, alarms, stats:
+    QueryResult(query=Query(name), payload=payload, wire_bytes=0,
+                records_scanned=scanned, estimated_wire_bytes=estimated,
+                host=host, alarms=tuple(alarms), scan_stats=stats),
+    st.sampled_from(["top_k_flows", plan.PLAN_QUERY_NAME, "custom-é"]),
+    _values, _texts, _ints, _ints, st.lists(_alarms, max_size=2),
+    st.dictionaries(_texts, _ints, max_size=4))
+
+
+_ALARM = Alarm(flow_id=FlowId("h1", "中", 80, 2 ** 40, 6), reason="pc_fail",
+               paths=[("s" * 130, "é"), ()], host="h1", time=1.5,
+               detail="détail")
+
+
+class TestSizer:
+    """``result_wire_bytes``/``payload_wire_bytes`` walk the value instead
+    of encoding it; they must agree with the encoder on every input the
+    codec accepts, and refuse what it refuses."""
+
+    @seed(20161102)
+    @settings(max_examples=60, deadline=None)
+    @given(_results)
+    @example(QueryResult(
+        query=Query(plan.PLAN_QUERY_NAME),
+        payload={("é中" * 50, -65): [float("nan"), b"\x00" * 130,
+                                     {frozenset({1, "x"}), (2, None)},
+                                     FlowId("a", "中", 2 ** 63, -1, 6)],
+                 "": (True, False, bytearray(b"ab"), 2 ** 64),
+                 "long": [tuple(range(130)), list(range(-70, 70))]},
+        wire_bytes=0, records_scanned=-64, estimated_wire_bytes=128,
+        host="", alarms=(_ALARM,), scan_stats={"hot_full_scans": 64, "": 0}))
+    def test_result_size_is_the_encoded_frame_length(self, result):
+        assert wire.result_wire_bytes(result) == \
+            len(wire.encode_result(result))
+
+    @seed(20161102)
+    @settings(max_examples=80, deadline=None)
+    @given(_values)
+    def test_payload_size_is_the_encoded_value_length(self, value):
+        assert wire.payload_wire_bytes(value) == len(wire.encode_value(value))
+
+    def test_varint_edges_exactly(self):
+        for value in _VARINT_EDGES + [-v for v in _VARINT_EDGES]:
+            assert wire.payload_wire_bytes(value) == \
+                len(wire.encode_value(value)), value
+
+    @pytest.mark.parametrize("payload", [
+        object(), [1, {"k": (2, object())}], OrderedDict(a=1),
+        {"x": {1, 2}, "y": [type("Text", (str,), {})("sub")]}])
+    @pytest.mark.parametrize("name", ["top_k_flows", plan.PLAN_QUERY_NAME])
+    def test_unencodable_payload_raises_wire_error(self, payload, name):
+        result = QueryResult(query=Query(name), payload=payload,
+                             wire_bytes=0)
+        with pytest.raises(wire.WireError):
+            wire.encode_result(result)
+        with pytest.raises(wire.WireError):
+            wire.result_wire_bytes(result)
+        with pytest.raises(wire.WireError):
+            wire.payload_wire_bytes(payload)
 
 
 def _random_flow_id(rng):
